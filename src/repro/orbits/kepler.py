@@ -24,9 +24,9 @@ def solve_kepler(
 ) -> float:
     """Solve Kepler's equation ``M = E - e sin E`` for eccentric anomaly.
 
-    Uses Newton's method with the standard ``E0 = M`` (or ``pi`` for high
-    eccentricity) starting guess.  For the near-circular orbits used here
-    it converges in 2-3 iterations.
+    Uses Newton's method with the standard ``E0 = M`` (or ``pi`` with the
+    sign of the reduced ``M`` for high eccentricity) starting guess.  For
+    the near-circular orbits used here it converges in 2-3 iterations.
 
     Args:
         mean_anomaly_rad: Mean anomaly, radians (any real value).
@@ -42,7 +42,10 @@ def solve_kepler(
     if not 0.0 <= eccentricity < 1.0:
         raise PropagationError(f"eccentricity must be in [0, 1), got {eccentricity}")
     mean = math.remainder(mean_anomaly_rad, _TWO_PI)
-    ecc_anomaly = mean if eccentricity < 0.8 else math.pi
+    # High eccentricity starts at +-pi on the side of the reduced mean
+    # anomaly; a +pi start for a negative one can cycle without
+    # converging.
+    ecc_anomaly = mean if eccentricity < 0.8 else math.copysign(math.pi, mean)
     for _ in range(64):
         f = ecc_anomaly - eccentricity * math.sin(ecc_anomaly) - mean
         if abs(f) < tol:

@@ -157,11 +157,7 @@ def run_shard_sketch(
             for value, grouped in speed_grouped.items():
                 grouped.update(keys, arrays[value])
     stats.wall_s = time.perf_counter() - started
-    for cache in campaign.geometry_caches():
-        stats.geometry_scans += cache.misses
-        stats.geometry_hits += cache.hits
-    for timeline in campaign.timelines():
-        stats.timeline_hits += timeline.hits
+    campaign.add_geometry_stats(stats)
     return ShardSketchResult(
         shard_id=shard_id,
         user_indices=list(user_indices),

@@ -251,11 +251,7 @@ def run_shard(
         stats.n_page_loads += len(page_loads)
         stats.n_speedtests += len(speedtests)
     stats.wall_s = time.perf_counter() - started
-    for cache in campaign.geometry_caches():
-        stats.geometry_scans += cache.misses
-        stats.geometry_hits += cache.hits
-    for timeline in campaign.timelines():
-        stats.timeline_hits += timeline.hits
+    campaign.add_geometry_stats(stats)
     return ShardResult(shard_id=shard_id, user_records=user_records, stats=stats)
 
 

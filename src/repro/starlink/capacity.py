@@ -148,21 +148,29 @@ class ServiceCapacityModel:
         """Cell utilisation at campaign time ``t_s`` (local diurnal)."""
         return diurnal_utilization(self.city.local_hour(t_s))
 
-    def _base_capacity_mbps(self, t_s: float, downlink: bool) -> float:
+    def _base_capacity_mbps(
+        self, t_s: float, downlink: bool, utilization: float | None = None
+    ) -> float:
         cell = self.plan.cell_dl_mbps if downlink else self.plan.cell_ul_mbps
-        return cell * max(
-            0.05, 1.0 - self.plan.load_sensitivity * self.utilization(t_s)
-        )
+        if utilization is None:
+            utilization = self.utilization(t_s)
+        return cell * max(0.05, 1.0 - self.plan.load_sensitivity * utilization)
 
     def capacity_bps(
-        self, t_s: float, downlink: bool = True, noisy: bool = True
+        self,
+        t_s: float,
+        downlink: bool = True,
+        noisy: bool = True,
+        utilization: float | None = None,
     ) -> float:
         """Achievable per-user rate at ``t_s``, bits/s.
 
         ``noisy`` adds the lognormal per-test variation; deterministic
         callers (e.g. link provisioning) can disable it.
+        ``utilization`` passes in an already-evaluated
+        :meth:`utilization` at ``t_s``.
         """
-        base = self._base_capacity_mbps(t_s, downlink)
+        base = self._base_capacity_mbps(t_s, downlink, utilization)
         if noisy:
             base *= float(
                 self._rng.lognormal(mean=0.0, sigma=self.plan.throughput_sigma)
@@ -175,12 +183,15 @@ class ServiceCapacityModel:
 
         Exponentially distributed with a mean that scales with current
         utilisation (so Table 2's max-min estimator sees load-dependent
-        variation).
+        variation).  The sampler's optional second argument passes in an
+        already-evaluated :meth:`utilization` at ``t_s``.
         """
         mean_s = self.plan.wireless_queue_mean_ms / 1000.0
 
-        def sample(t_s: float) -> float:
-            scale = (0.4 + 1.2 * self.utilization(t_s)) if load_coupled else 1.0
+        def sample(t_s: float, utilization: float | None = None) -> float:
+            if load_coupled and utilization is None:
+                utilization = self.utilization(t_s)
+            scale = (0.4 + 1.2 * utilization) if load_coupled else 1.0
             return float(self._rng.exponential(mean_s * scale))
 
         return sample

@@ -28,9 +28,11 @@ The kernel avoids scanning all ``T x N`` grid points: a satellite can
 serve a terminal only while its latitude is within the slant-geometry
 bound of the terminal's latitude (about +-8.5 degrees at the 25-degree
 mask), and satellite latitude is ``asin(sin(i) * sin(u))`` with the
-argument of latitude ``u`` linear in time — so the candidate epochs of
-each satellite are a periodic union of intervals that can be generated
-analytically.  Only ~20% of grid points are ever touched.
+argument of latitude ``u`` linear in time — so a cheap per-epoch test
+of ``u`` against the band's arcs selects the candidates, and only ~20%
+of grid points reach the elevation kernel.  Candidates are generated
+per chunk of requested epochs, so cost and memory follow the epochs
+requested, not the span they cover.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from repro.orbits.visibility import max_visible_central_angle_rad
 from repro.starlink.bentpipe import _CACHE_MISS, ServingGeometry
 
 DEFAULT_CHUNK_EPOCHS = 256
-"""Epochs per kernel chunk; keeps working arrays cache-resident."""
+"""Epochs per kernel chunk; keeps working arrays cache-resident and
+bounds the candidate pairs held at once."""
 
 _TWO_PI = 2.0 * math.pi
 
@@ -211,13 +214,14 @@ def _candidate_pairs(
     epochs: np.ndarray,
     min_elevation_deg: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(row, satellite) candidate pairs, sorted by row.
+    """(row, satellite) candidate pairs for one chunk, sorted by row.
 
-    ``row`` indexes into ``epochs``.  Candidates are generated
-    analytically from the latitude-band arcs: for each satellite the
-    argument of latitude advances linearly, so its in-arc times form
-    one interval per orbit, widened by one epoch on each side for
-    floating-point soundness.  Within a row, satellites appear in
+    ``row`` indexes into ``epochs``.  Evaluates every satellite's
+    argument of latitude at each requested epoch and keeps it while it
+    lies within a latitude-band arc of :func:`_candidate_arcs` widened
+    by one epoch of motion on each side (floating-point slack on top of
+    the 0.5-degree margin).  The cost follows the epochs requested,
+    whatever span they cover.  Within a row, satellites appear in
     ascending index order (required by the first-max tie-break).
     """
     arcs = _candidate_arcs(observer, shell, min_elevation_deg)
@@ -226,64 +230,29 @@ def _candidate_pairs(
     if not arcs or n_pos == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    interval = STARLINK_RESCHEDULE_INTERVAL_S
+    if arcs[0][1] >= _TWO_PI:
+        rows = np.repeat(np.arange(n_pos, dtype=np.int64), n_sats)
+        cols = np.tile(np.arange(n_sats, dtype=np.int64), n_pos)
+        return rows, cols
     u_dot = shell._arg_lat_dot
-    t_min = float(epochs[0]) * interval
-    t_max = float(epochs[-1]) * interval
-    first_epoch = int(epochs[0])
-    last_epoch = int(epochs[-1])
-    contiguous = last_epoch - first_epoch == n_pos - 1
-
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    u0 = shell._arg_lat0 - shell._arg_lat_dot * shell.epoch_s
+    slack = abs(u_dot) * STARLINK_RESCHEDULE_INTERVAL_S
+    u0 = shell._arg_lat0 - u_dot * shell.epoch_s
+    times = epochs.astype(np.float64) * STARLINK_RESCHEDULE_INTERVAL_S
+    # Wrap the per-epoch and per-satellite terms separately (T + N
+    # mods, not T x N); their sum lands in [0, 4 pi) and one
+    # conditional subtraction brings it back to [0, 2 pi).  The few
+    # ulps this reassociation moves are far inside the slack.
+    wrapped = np.mod(u_dot * times, _TWO_PI)[:, None] + np.mod(u0, _TWO_PI)[None, :]
+    wrapped[wrapped >= _TWO_PI] -= _TWO_PI
+    inside = np.zeros(wrapped.shape, dtype=bool)
     for arc_start, arc_len in arcs:
-        if arc_len >= _TWO_PI:
-            rows = np.repeat(
-                np.arange(n_pos, dtype=np.int64)[:, None], n_sats, axis=1
-            ).ravel()
-            cols = np.tile(np.arange(n_sats, dtype=np.int64), n_pos)
-            return rows, cols
-        # Entry times of each satellite into the arc: u0 + u_dot t = start + 2 pi k
-        phase = (arc_start - u0) / u_dot  # (N,)
-        period = _TWO_PI / u_dot
-        k_lo = math.floor((t_min - float(np.max(phase))) / period) - 1
-        k_hi = math.ceil((t_max - float(np.min(phase))) / period) + 1
-        ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-        t_enter = phase[:, None] + ks[None, :] * period  # (N, K)
-        t_exit = t_enter + arc_len / u_dot
-        # Widen by one epoch per side: float slack, on top of the 0.5 deg margin.
-        e_start = np.floor(t_enter / interval).astype(np.int64) - 1
-        e_end = np.ceil(t_exit / interval).astype(np.int64) + 1
-        if contiguous:
-            p_start = np.clip(e_start - first_epoch, 0, n_pos)
-            p_end = np.clip(e_end - first_epoch + 1, 0, n_pos)
-        else:
-            p_start = np.searchsorted(epochs, e_start, side="left")
-            p_end = np.searchsorted(epochs, e_end, side="right")
-        lengths = (p_end - p_start).ravel()
-        keep = lengths > 0
-        lengths = lengths[keep]
-        if len(lengths) == 0:
-            continue
-        starts = p_start.ravel()[keep]
-        sat_of = np.repeat(np.arange(n_sats, dtype=np.int64), len(ks))[keep]
-        total = int(lengths.sum())
-        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        flat = np.arange(total, dtype=np.int64)
-        rows_parts.append(
-            np.repeat(starts - offsets, lengths) + flat
-        )
-        cols_parts.append(np.repeat(sat_of, lengths))
-    if not rows_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    # Stable sort by row keeps per-satellite generation order, i.e.
-    # ascending satellite index within each row.
-    order = np.argsort(rows, kind="stable")
-    return rows[order], cols[order]
+        lo = (arc_start - slack) % _TWO_PI
+        hi = lo + arc_len + 2.0 * slack
+        inside |= (wrapped >= lo) & (wrapped <= hi)
+        if hi > _TWO_PI:
+            inside |= wrapped <= hi - _TWO_PI
+    rows, cols = np.nonzero(inside)
+    return rows.astype(np.int64), cols.astype(np.int64)
 
 
 def compute_serving_timeline(
@@ -330,24 +299,20 @@ def compute_serving_timeline(
     gateway_range = np.zeros(n)
     elevation_out = np.zeros(n)
 
-    rows, cols = _candidate_pairs(shell, terminal, epochs, min_elevation_deg)
     names = tuple(s.name for s in shell.satellites)
-    if len(rows):
-        _fill_serving_arrays(
-            shell,
-            terminal,
-            gateway,
-            epochs,
-            rows,
-            cols,
-            min_elevation_deg,
-            obstruction,
-            chunk_epochs,
-            sat_index,
-            terminal_range,
-            gateway_range,
-            elevation_out,
-        )
+    _fill_serving_arrays(
+        shell,
+        terminal,
+        gateway,
+        epochs,
+        min_elevation_deg,
+        obstruction,
+        chunk_epochs,
+        sat_index,
+        terminal_range,
+        gateway_range,
+        elevation_out,
+    )
     return ServingTimeline(
         epochs=epochs,
         sat_index=sat_index,
@@ -376,8 +341,6 @@ def _fill_serving_arrays(
     terminal: GeoPoint,
     gateway: GeoPoint,
     epochs: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
     min_elevation_deg: float,
     obstruction,
     chunk_epochs: int,
@@ -387,6 +350,9 @@ def _fill_serving_arrays(
     elevation_out: np.ndarray,
 ) -> None:
     """The chunked batch kernel; mutates the per-epoch output arrays.
+
+    Each chunk generates its own candidates (:func:`_candidate_pairs`),
+    so memory stays bounded by the chunk whatever the epoch count.
 
     Every numbered expression mirrors the scan path op for op:
     ``WalkerShell.positions_ecef`` -> ``_enu_components`` ->
@@ -408,12 +374,9 @@ def _fill_serving_arrays(
 
     for p0 in range(0, n, chunk_epochs):
         p1 = min(n, p0 + chunk_epochs)
-        m0 = int(np.searchsorted(rows, p0, side="left"))
-        m1 = int(np.searchsorted(rows, p1, side="left"))
-        if m0 == m1:
+        r, c = _candidate_pairs(shell, terminal, epochs[p0:p1], min_elevation_deg)
+        if len(r) == 0:
             continue
-        r = rows[m0:m1] - p0
-        c = cols[m0:m1]
         n_rows = p1 - p0
         ts = epochs[p0:p1] * interval
         dt = ts - shell.epoch_s

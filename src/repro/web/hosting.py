@@ -16,6 +16,7 @@ for the same site.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,16 +92,39 @@ class SiteHosting:
 
 
 class HostingModel:
-    """Deterministic per-(domain, region) hosting resolution."""
+    """Deterministic per-(domain, region) hosting resolution.
+
+    :meth:`resolve` is a pure function of ``(seed, domain, rank,
+    region)``, so resolutions are memoised in an LRU of at most
+    :attr:`MAX_CACHED_SITES` sites: popular sites are visited over and
+    over, and each fresh resolution seeds a new generator.
+    """
+
+    MAX_CACHED_SITES = 16_384
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
+        self._resolved: OrderedDict[tuple[str, int, str], SiteHosting] = (
+            OrderedDict()
+        )
 
     def _site_rng(self, domain: str, region: str) -> np.random.Generator:
         return stream(self.seed, "hosting", domain, region)
 
     def resolve(self, domain: str, rank: int, region: str) -> SiteHosting:
         """Hosting of ``domain`` (at ``rank``) as seen from ``region``."""
+        key = (domain, rank, region)
+        hosting = self._resolved.get(key)
+        if hosting is not None:
+            self._resolved.move_to_end(key)
+            return hosting
+        hosting = self._resolve(domain, rank, region)
+        self._resolved[key] = hosting
+        if len(self._resolved) > self.MAX_CACHED_SITES:
+            self._resolved.popitem(last=False)
+        return hosting
+
+    def _resolve(self, domain: str, rank: int, region: str) -> SiteHosting:
         rng = self._site_rng(domain, region)
         roll = float(rng.random())
         p_cdn = cdn_probability(rank)

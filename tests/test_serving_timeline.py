@@ -7,6 +7,7 @@ and sparse epoch sets, because the sharded campaign's determinism
 contract rides on it.
 """
 
+import os
 import pickle
 
 import numpy as np
@@ -228,3 +229,87 @@ def test_ensure_timeline_reuses_covering_window():
     wider = model.ensure_timeline(0.0, 1800.0)
     assert wider is not first
     assert model.ensure_timeline(0.0, 1800.0) is wider
+
+
+# -- per-chunk candidate generation ---------------------------------------
+
+SIX_MONTHS_EPOCHS = 180 * 86_400 // 15
+
+
+def _months_long_sparse_epochs(seed):
+    """A sparse six-month epoch set with one contiguous run."""
+    rng = np.random.default_rng(seed)
+    sparse = rng.integers(0, SIX_MONTHS_EPOCHS, size=200)
+    run = np.arange(400_000, 400_150)
+    return np.unique(np.concatenate([sparse, run])).astype(np.int64)
+
+
+@pytest.mark.parametrize("terminal", ["clear", "obstructed", "negative_mask"])
+def test_sparse_months_long_batch_matches_scan(terminal):
+    mask = None if terminal == "clear" else ObstructionMask.generate(
+        seed=3, severity="bad"
+    )
+    # Barcelona's latitude band yields two arcs (ascending and
+    # descending passes), so both arc tests run.
+    model = _model("barcelona", obstruction=mask)
+    if terminal == "negative_mask":
+        model.min_elevation_deg = -5.0
+    epochs = _months_long_sparse_epochs(seed=11)
+    # Chunks of 64 epochs: sparse ones spanning weeks, dense ones inside
+    # the contiguous run, and chunks straddling both.
+    timeline = _timeline_for(model, epochs=epochs, chunk_epochs=64)
+    assert np.array_equal(timeline.epochs, epochs)
+    _assert_matches_scan(model, timeline)
+    if terminal == "obstructed":
+        # The mask must cause outages, or it exercises nothing.
+        assert np.count_nonzero(timeline.sat_index < 0) > 0
+
+
+_RSS_PROBE = """
+import numpy as np
+from repro.geo.cities import city
+from repro.orbits.constellation import starlink_shell1
+from repro.starlink.pop import pop_for_city
+from repro.starlink.timeline import compute_serving_timeline
+
+shell = starlink_shell1(n_planes=36, sats_per_plane=18)
+epochs = np.unique(np.random.default_rng(3).integers(0, {n_epochs}, 20_000))
+timeline = compute_serving_timeline(
+    shell, city("london").location, pop_for_city("london").gateway, epochs=epochs
+)
+assert len(timeline) == len(epochs)
+# VmHWM is this process's own peak; ru_maxrss would also carry the
+# forking test process's size across exec.
+with open("/proc/self/status") as status:
+    peak = next(line for line in status if line.startswith("VmHWM"))
+print(int(peak.split()[1]) // 1024)
+"""
+
+#: Peak RSS allowed for one city's six-month sparse batch (fresh
+#: interpreter, imports included).  Candidate generation over the whole
+#: span instead of per chunk needed 340 MB for this batch.
+SPARSE_BATCH_RSS_CEILING_MB = 120
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM"
+)
+def test_six_month_sparse_batch_rss_is_bounded():
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE.format(n_epochs=SIX_MONTHS_EPOCHS)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=300,
+    )
+    peak_mb = int(completed.stdout.strip().splitlines()[-1])
+    assert peak_mb < SPARSE_BATCH_RSS_CEILING_MB

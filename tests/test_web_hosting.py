@@ -90,3 +90,13 @@ def test_latencies_physical(hosting):
     for i in range(200):
         resolved = hosting.resolve(f"l-{i}.example", int(10 ** (i % 6) + 1), "USA")
         assert 0.0 < resolved.server_one_way_s < 0.4
+
+
+def test_memoised_resolution_matches_a_fresh_model():
+    memoised = HostingModel(seed=3)
+    memoised.MAX_CACHED_SITES = 4
+    sites = [(f"site-{i % 7}.example", 100 + i % 7, "UK") for i in range(40)]
+    for domain, rank, region in sites:
+        fresh = HostingModel(seed=3).resolve(domain, rank, region)
+        assert memoised.resolve(domain, rank, region) == fresh
+    assert len(memoised._resolved) == 4  # the LRU stays bounded

@@ -84,3 +84,21 @@ def test_page_profiles_device_work_positive():
     profile = generator.draw(tranco.site(1), rng)
     assert profile.dom_work_s > 0
     assert profile.render_work_s > 0
+
+
+def test_redirect_draw_matches_generator_choice():
+    """The bisected CDF consumes one double and picks what
+    ``Generator.choice(p=...)`` picks."""
+    from bisect import bisect_right
+
+    import numpy as np
+
+    from repro.web.page import _REDIRECT_CDF
+
+    probabilities = PageProfileGenerator.REDIRECT_PROBABILITIES
+    ours = np.random.default_rng(9)
+    numpy_choice = np.random.default_rng(9)
+    for _ in range(20_000):
+        expected = int(numpy_choice.choice(len(probabilities), p=probabilities))
+        assert bisect_right(_REDIRECT_CDF, ours.random()) == expected
+    assert ours.random() == numpy_choice.random()
