@@ -144,6 +144,40 @@ def test_geometry_cache_shared_across_users():
     assert cache.hits >= 1
 
 
+def test_run_user_without_city_timeline_never_scans():
+    """A Starlink user's serving epochs come from one sparse timeline
+    built for their events, so the record loop adds no scans."""
+    campaign = ExtensionCampaign(CampaignConfig(**SMALL))
+    user = next(u for u in campaign.population.users if u.isp.is_starlink)
+    page_loads, _ = campaign.run_user(user)
+    assert page_loads
+    cache = campaign.geometry_cache_for_city(user.city_name)
+    assert cache.misses == 0
+    assert campaign._batch_hits > 0
+    assert campaign.run_user(user)[0] == page_loads
+
+
+def test_run_user_reuses_the_city_timeline(monkeypatch):
+    """With a city timeline installed, run_user computes nothing more."""
+    import repro.starlink.timeline as timeline_module
+
+    campaign = ExtensionCampaign(CampaignConfig(**SMALL))
+    user = next(u for u in campaign.population.users if u.isp.is_starlink)
+    timeline = campaign.timeline_for_city(user.city_name)
+    expected = ExtensionCampaign(CampaignConfig(**SMALL)).run_user(user)
+    calls = []
+    original = timeline_module.compute_serving_timeline
+    monkeypatch.setattr(
+        timeline_module,
+        "compute_serving_timeline",
+        lambda *a, **k: calls.append(k) or original(*a, **k),
+    )
+    assert campaign.run_user(user) == expected
+    assert calls == []
+    assert timeline.hits > 0
+    assert campaign._batch_hits == 0
+
+
 def test_sharded_experiment_metrics():
     """Experiments surface the engine's throughput counters."""
     from repro.experiments import run_experiment
