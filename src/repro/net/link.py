@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - import for annotations only
 
 from repro.errors import ConfigurationError
 from repro.net.loss import LossModel, NoLoss
-from repro.net.packet import Packet
+from repro.net.packet import UNASSIGNED_PACKET_ID, Packet
 from repro.net.queues import DropTailQueue
 from repro.net.simulator import Simulator
 
@@ -57,6 +57,8 @@ class Link:
         self.dst = dst
         self.rate_bps = rate_bps
         self._delay = delay
+        # Resolved once: the per-packet path calls a provider directly.
+        self._delay_fn = delay if callable(delay) else None
         self.queue = queue if queue is not None else DropTailQueue()
         self.loss = loss if loss is not None else NoLoss()
         self.extra_delay = extra_delay
@@ -74,29 +76,23 @@ class Link:
 
     def propagation_delay_s(self, now_s: float) -> float:
         """Current one-way propagation delay, seconds."""
-        if callable(self._delay):
-            delay = self._delay(now_s)
-        else:
-            delay = self._delay
+        delay = self._delay if self._delay_fn is None else self._delay_fn(now_s)
         if delay < 0:
             raise ConfigurationError(
                 f"negative propagation delay on {self.name}: {delay}"
             )
         return delay
 
-    def transmission_delay_s(self, packet: Packet) -> float:
-        """Serialisation delay for ``packet``, seconds."""
-        return packet.size_bytes * 8.0 / self.rate_bps
-
     # -- send path ----------------------------------------------------------
 
     def send(self, packet: Packet) -> None:
         """Offer a packet to the link (called by the source node)."""
-        packet.ensure_id(self.sim.packet_ids)
+        if packet.packet_id == UNASSIGNED_PACKET_ID:  # inlined ensure_id
+            packet.packet_id = self.sim.packet_ids.next_id()
         self.offered += 1
         if self._transmitting:
             if self.queue.offer(packet):
-                self._enqueue_times[packet.packet_id] = self.sim.now
+                self._enqueue_times[packet.packet_id] = self.sim._now
             return
         self._begin_transmission(packet)
 
@@ -151,21 +147,35 @@ class Link:
                 f"{sorted(stale)[:10]}"
             )
 
+    # The two methods below run once per packet per hop; they read the
+    # clock once, and ``_finish_transmission`` inlines
+    # :meth:`propagation_delay_s` with the same arithmetic.
+
     def _begin_transmission(self, packet: Packet) -> None:
         self._transmitting = True
-        queued_at = self._enqueue_times.pop(packet.packet_id, None)
-        if queued_at is not None:
-            packet.queueing_s += self.sim.now - queued_at
-        tx_delay = self.transmission_delay_s(packet)
-        self.sim.schedule(tx_delay, self._finish_transmission, packet)
+        sim = self.sim
+        if self._enqueue_times:
+            queued_at = self._enqueue_times.pop(packet.packet_id, None)
+            if queued_at is not None:
+                packet.queueing_s += sim._now - queued_at
+        sim.schedule(
+            packet.size_bytes * 8.0 / self.rate_bps, self._finish_transmission, packet
+        )
 
     def _finish_transmission(self, packet: Packet) -> None:
-        if self.loss.should_drop(packet, self.sim.now):
+        sim = self.sim
+        now = sim._now
+        if self.loss.should_drop(packet, now):
             self.lost += 1
         else:
-            total_delay = self.propagation_delay_s(self.sim.now)
+            delay_fn = self._delay_fn
+            total_delay = self._delay if delay_fn is None else delay_fn(now)
+            if total_delay < 0:
+                raise ConfigurationError(
+                    f"negative propagation delay on {self.name}: {total_delay}"
+                )
             if self.extra_delay is not None:
-                extra = self.extra_delay(self.sim.now)
+                extra = self.extra_delay(now)
                 if extra < 0:
                     raise ConfigurationError(
                         f"extra_delay sampler on {self.name} returned {extra}"
@@ -175,10 +185,12 @@ class Link:
             # A link is FIFO: stochastic extra delay (abstracted
             # queueing) must never reorder packets, so delivery is
             # clamped to be monotone.
-            delivery_at = max(self.sim.now + total_delay, self._last_delivery_s)
+            delivery_at = now + total_delay
+            if self._last_delivery_s > delivery_at:
+                delivery_at = self._last_delivery_s
             self._last_delivery_s = delivery_at
             self._propagating += 1
-            self.sim.schedule(delivery_at - self.sim.now, self._deliver, packet)
+            sim.schedule(delivery_at - now, self._deliver, packet)
         next_packet = self.queue.poll()
         if next_packet is not None:
             self._begin_transmission(next_packet)

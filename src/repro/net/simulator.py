@@ -5,13 +5,16 @@ relative times; ties are broken by insertion order so runs are fully
 deterministic.  The simulator carries no global state — multiple
 simulators can coexist (the test suite relies on this), and every
 per-run counter (event sequence, packet ids) lives on the instance.
+
+Heap entries are plain ``(time_s, sequence, event)`` tuples: the
+sequence is unique per simulator, so ``heapq`` orders entries entirely
+in C and never compares two events.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -24,27 +27,24 @@ _COMPACT_RATIO = 4
 """Compact when cancelled entries outnumber live ones this many times."""
 
 
-@dataclass(order=True)
-class _HeapEntry:
-    time_s: float
-    sequence: int
-    event: "Event" = field(compare=False)
-
-
 class Event:
     """A scheduled callback.  Cancel with :meth:`cancel`."""
 
-    __slots__ = ("callback", "args", "cancelled", "fired", "time_s", "_on_cancel")
+    __slots__ = ("callback", "args", "cancelled", "fired", "time_s", "_sim")
 
     def __init__(
-        self, time_s: float, callback: Callable[..., None], args: tuple[Any, ...]
+        self,
+        time_s: float,
+        callback: Callable[..., None],
+        args: tuple[Any, ...],
+        sim: "Simulator",
     ):
         self.time_s = time_s
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.fired = False
-        self._on_cancel: Callable[[], None] | None = None
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if already fired
@@ -52,8 +52,7 @@ class Event:
         if self.fired or self.cancelled:
             return
         self.cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel()
+        self._sim._note_cancel()
 
 
 class Simulator:
@@ -72,7 +71,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[_HeapEntry] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._running = False
@@ -100,12 +99,14 @@ class Simulator:
         # Lazily compact: a long-running flow cancels an RTO event per
         # ACK, so the heap would otherwise grow without bound relative
         # to the live set.
+        heap = self._heap
         if (
-            len(self._heap) > _COMPACT_MIN_HEAP
-            and len(self._heap) > _COMPACT_RATIO * max(1, self._live)
+            len(heap) > _COMPACT_MIN_HEAP
+            and len(heap) > _COMPACT_RATIO * max(1, self._live)
         ):
-            self._heap = [e for e in self._heap if not e.event.cancelled]
-            heapq.heapify(self._heap)
+            # In place, so the alias ``run()`` holds stays the live heap.
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapify(heap)
 
     def schedule(
         self, delay_s: float, callback: Callable[..., None], *args: Any
@@ -117,7 +118,13 @@ class Simulator:
         """
         if delay_s < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_s})")
-        return self.schedule_at(self._now + delay_s, callback, *args)
+        # Inlined :meth:`schedule_at`: a non-negative delay never lands
+        # before ``now``, so its past-time check cannot fire here.
+        time_s = self._now + delay_s
+        event = Event(time_s, callback, args, self)
+        heappush(self._heap, (time_s, next(self._sequence), event))
+        self._live += 1
+        return event
 
     def schedule_at(
         self, time_s: float, callback: Callable[..., None], *args: Any
@@ -127,9 +134,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_s} < now {self._now}"
             )
-        event = Event(time_s, callback, args)
-        event._on_cancel = self._note_cancel
-        heapq.heappush(self._heap, _HeapEntry(time_s, next(self._sequence), event))
+        event = Event(time_s, callback, args, self)
+        heappush(self._heap, (time_s, next(self._sequence), event))
         self._live += 1
         return event
 
@@ -143,23 +149,27 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         executed = 0
+        # Compaction rewrites the heap in place, so this alias never
+        # goes stale when a callback's cancel() triggers it.
+        heap = self._heap
+        horizon = until if until is not None else float("inf")
         try:
-            while self._heap:
-                entry = self._heap[0]
-                if until is not None and entry.time_s > until:
+            while heap:
+                time_s, _, event = heap[0]
+                if time_s > horizon:
                     break
-                if entry.event.cancelled:
-                    heapq.heappop(self._heap)
+                if event.cancelled:
+                    heappop(heap)
                     continue
                 # Check *before* executing: the guard must stop at exactly
                 # max_events callbacks, leaving the excess event queued.
                 if executed >= max_events:
                     raise SimulationError(f"exceeded max_events={max_events}")
-                heapq.heappop(self._heap)
+                heappop(heap)
                 self._live -= 1
-                entry.event.fired = True
-                self._now = entry.time_s
-                entry.event.callback(*entry.event.args)
+                event.fired = True
+                self._now = time_s
+                event.callback(*event.args)
                 executed += 1
             if until is not None and self._now < until:
                 self._now = until

@@ -64,10 +64,12 @@ only the *coordination* metadata needs the store's arbitration.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -113,6 +115,7 @@ LOG_KEY = "log.jsonl"
 LEASES_PREFIX = "leases/"
 WORKERS_PREFIX = "workers/"
 DISCARDS_PREFIX = "discards/"
+FAILURES_PREFIX = "failures/"
 
 
 def _hold_key(shard_id: int) -> str:
@@ -129,6 +132,40 @@ def _rejected_key(shard_id: int, attempt: int) -> str:
 
 def _discard_key(shard_id: int, token: str) -> str:
     return f"discards/shard-{shard_id:04d}-{token}.json"
+
+
+def _failure_key(shard_id: int, token: str) -> str:
+    return f"{FAILURES_PREFIX}shard-{shard_id:04d}-{token}.json"
+
+
+def _describe_failure(exc: BaseException) -> dict:
+    """The cause of a shard failure, small enough for a store key.
+
+    ``where`` is the innermost frame; ``traceback_digest`` hashes every
+    frame's file name, line and function (not full paths), so the same
+    bug on two hosts gets the same digest.
+    """
+    frames = traceback.extract_tb(exc.__traceback__)
+    sites = [
+        f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        for frame in frames
+    ]
+    return {
+        "error_type": type(exc).__name__,
+        "message": str(exc),
+        "where": sites[-1] if sites else None,
+        "traceback_digest": hashlib.sha256(
+            "\n".join(sites).encode("utf-8")
+        ).hexdigest()[:12],
+    }
+
+
+def _failure_reason(doc: dict) -> str:
+    """One-line re-dispatch reason for a recorded shard failure."""
+    return (
+        f"shard raised {doc.get('error_type')}: {doc.get('message')} "
+        f"(at {doc.get('where')}, traceback {doc.get('traceback_digest')})"
+    )
 
 
 def terminal_marker(store: CoordinationStore) -> str | None:
@@ -548,7 +585,8 @@ def _run_claimed_shard(
 
     ``"completed"`` (our manifest won), ``"discarded"`` (a sibling's
     attempt won first — discard marker written), or ``"failed"`` (the
-    shard raised; the lease is released so the coordinator re-dispatches).
+    shard raised; its cause is written under the failure key, then the
+    lease is released so the coordinator re-dispatches).
     """
     shard_id = record.shard_id
     attempt = record.attempt
@@ -603,15 +641,31 @@ def _run_claimed_shard(
             )
     except FabricError:
         raise
-    except Exception:  # noqa: BLE001 - release the lease, let the
+    except Exception as exc:  # noqa: BLE001 - release the lease, let the
         # coordinator re-dispatch; a worker must survive one bad shard.
         outcome = "failed"
+        try:
+            # Before the release below, so the coordinator finds the
+            # cause when it sees the lease gone.
+            store.put_json(
+                _failure_key(shard_id, record.token),
+                {
+                    "shard_id": shard_id,
+                    "worker_id": record.worker_id,
+                    "token": record.token,
+                    "attempt": attempt,
+                    **_describe_failure(exc),
+                },
+            )
+        except (OSError, FabricError):
+            pass  # the lease release still triggers a re-dispatch
     finally:
         heartbeat.stop()
         leases.release(heartbeat.record)
         registry.set_idle(
             completed=outcome == "completed",
             discarded=outcome == "discarded",
+            failed=outcome == "failed",
         )
     return outcome
 
@@ -690,6 +744,7 @@ class FabricCoordinator:
         self._pending: dict[int, dict] = {}  # sid -> revocation context
         self._manifest_first_seen: dict[int, float] = {}
         self._seen_discards: set[str] = set()
+        self._seen_failures: set[str] = set()
         self._durations: list[float] = []
         # Shards completed under a predecessor coordinator: their claims
         # belong to its lease log, not to this one.
@@ -985,6 +1040,53 @@ class FabricCoordinator:
                 reason=doc.get("reason", "lost the first-valid-manifest race"),
             )
 
+    # -- failure intake ------------------------------------------------
+
+    def _scan_failures(self, accepted: dict) -> None:
+        # Listing walks the whole bucket on object stores, so this runs
+        # only while the workers' failure counts exceed the failures
+        # already handled (see ``_scan_leases``).
+        for key in self.store.list_prefix(FAILURES_PREFIX):
+            if key.endswith(".json") and key not in self._seen_failures:
+                doc = self.store.get_json(key) or {}
+                self._on_shard_failure(key, doc, accepted)
+
+    def _on_shard_failure(self, key: str, doc: dict, accepted: dict) -> None:
+        """Log a worker-recorded shard exception and re-dispatch the
+        shard with the exception as the reason.
+
+        Found either by the failure scan or when the coordinator sees
+        the failed attempt's lease vanish, whichever comes first (a
+        shard that fails between two polls is only found by the scan); a
+        failure of an attempt already re-dispatched for another reason
+        (e.g. a straggler revocation) is only logged.
+        """
+        self._seen_failures.add(key)
+        shard_id = doc.get("shard_id")
+        attempt = int(doc.get("attempt", 0))
+        reason = _failure_reason(doc)
+        self._log(
+            "shard_failed",
+            shard_id=shard_id,
+            worker_id=doc.get("worker_id"),
+            token=doc.get("token"),
+            attempt=attempt,
+            reason=reason,
+        )
+        if shard_id is None or shard_id in accepted:
+            return
+        hold = self.store.get_json(_hold_key(shard_id))
+        if hold is not None and int(hold.get("attempt", 0)) > attempt:
+            return
+        # The re-dispatch marks the shard pending, so the lease watcher
+        # will not re-dispatch it again as a plain lost lease.
+        self._schedule_redispatch(
+            shard_id,
+            reason=reason,
+            next_attempt=attempt + 1,
+            worker_id=doc.get("worker_id"),
+        )
+
     # -- lease watching ------------------------------------------------
 
     def _straggler_deadline(self) -> float | None:
@@ -1003,6 +1105,9 @@ class FabricCoordinator:
             doc.get("worker_id"): doc
             for doc in WorkerRegistry.read_all(self.store, WORKERS_PREFIX)
         }
+        failed = sum(int(doc.get("shards_failed", 0)) for doc in workers.values())
+        if failed > len(self._seen_failures):
+            self._scan_failures(accepted)
         deadline = self._straggler_deadline()
         for shard_id, _indices in self.plan.shards:
             if shard_id in accepted:
@@ -1024,6 +1129,11 @@ class FabricCoordinator:
                         worker_id=worker,
                         token=token,
                     )
+                    key = _failure_key(shard_id, token)
+                    failure = self.store.get_json(key)
+                    if failure is not None:
+                        self._on_shard_failure(key, failure, accepted)
+                        continue
                     self._schedule_redispatch(
                         shard_id,
                         reason="lease lost without a manifest",

@@ -418,6 +418,7 @@ class WorkerRegistry:
         self._shard_id: int | None = None
         self._completed = 0
         self._discarded = 0
+        self._failed = 0
 
     @property
     def key(self) -> str:
@@ -440,6 +441,7 @@ class WorkerRegistry:
                 "shard_id": self._shard_id,
                 "shards_completed": self._completed,
                 "manifests_discarded": self._discarded,
+                "shards_failed": self._failed,
                 "heartbeat_at": time.time(),
                 "ttl_s": self.ttl_s,
             },
@@ -449,11 +451,15 @@ class WorkerRegistry:
         self._shard_id = shard_id
         self.write("running")
 
-    def set_idle(self, completed: bool = False, discarded: bool = False) -> None:
+    def set_idle(
+        self, completed: bool = False, discarded: bool = False, failed: bool = False
+    ) -> None:
         if completed:
             self._completed += 1
         if discarded:
             self._discarded += 1
+        if failed:
+            self._failed += 1
         self._shard_id = None
         self.write("idle")
 

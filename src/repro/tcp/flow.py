@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,37 +73,51 @@ class FlowStats:
 
 
 class _Receiver:
-    """Reassembly state on the destination node."""
+    """Reassembly state on the destination node.
+
+    Out-of-order data is held as maximal runs of consecutive sequence
+    numbers, ``_starts[i]..._ends[i]`` inclusive, ascending and never
+    adjacent — exactly the SACK ranges, maintained per arrival instead
+    of re-derived by sorting every held segment.
+    """
 
     def __init__(self) -> None:
         self.expected_seq = 0
-        self.out_of_order: set[int] = set()
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+
+    @property
+    def out_of_order(self) -> set[int]:
+        """Sequence numbers held above the cumulative ack."""
+        return {
+            seq
+            for start, end in zip(self._starts, self._ends)
+            for seq in range(start, end + 1)
+        }
 
     def on_data(self, seq: int) -> tuple[int, list[tuple[int, int]]]:
         """Register an arrival; returns (cumulative ack, SACK ranges)."""
+        starts, ends = self._starts, self._ends
         if seq == self.expected_seq:
             self.expected_seq += 1
-            while self.expected_seq in self.out_of_order:
-                self.out_of_order.remove(self.expected_seq)
-                self.expected_seq += 1
+            if starts and starts[0] == self.expected_seq:
+                self.expected_seq = ends[0] + 1
+                del starts[0], ends[0]
         elif seq > self.expected_seq:
-            self.out_of_order.add(seq)
-        return self.expected_seq, self._sack_ranges()
-
-    def _sack_ranges(self) -> list[tuple[int, int]]:
-        if not self.out_of_order:
-            return []
-        ordered = sorted(self.out_of_order)
-        ranges: list[tuple[int, int]] = []
-        start = previous = ordered[0]
-        for seq in ordered[1:]:
-            if seq == previous + 1:
-                previous = seq
-                continue
-            ranges.append((start, previous))
-            start = previous = seq
-        ranges.append((start, previous))
-        return ranges
+            index = bisect_right(starts, seq)
+            if index and ends[index - 1] >= seq - 1:
+                # Inside or just past the run on the left.
+                if ends[index - 1] < seq:
+                    ends[index - 1] = seq
+                    if index < len(starts) and starts[index] == seq + 1:
+                        ends[index - 1] = ends[index]
+                        del starts[index], ends[index]
+            elif index < len(starts) and starts[index] == seq + 1:
+                starts[index] = seq
+            else:
+                starts.insert(index, seq)
+                ends.insert(index, seq)
+        return self.expected_seq, list(zip(starts, ends))
 
 
 class TcpFlow:
@@ -166,6 +181,10 @@ class TcpFlow:
         self._sacked: set[int] = set()
         self._lost: set[int] = set()  # marked lost, not yet retransmitted
         self._highest_sacked = -1
+        # SACK range start -> highest end already applied.  Every seq in
+        # [start, end] is then SACKed or below the cumulative ack, and
+        # stays so, so re-walking that span can change nothing.
+        self._sack_applied: dict[int, int] = {}
         self._loss_scanned_to = -1  # highest seq already scanned for loss
         self._recovery_high = 0  # recovery active while cum_ack < this
         self._sent_meta: dict[int, tuple[float, int, bool]] = {}
@@ -370,6 +389,12 @@ class TcpFlow:
                 self._sacked.discard(seq)
                 self._lost.discard(seq)
                 self._retx_time.pop(seq, None)
+            if self._sack_applied:
+                self._sack_applied = {
+                    start: end
+                    for start, end in self._sack_applied.items()
+                    if end >= ack_no
+                }
             self.stats.delivered_bytes += newly_cum * self.mss_bytes
 
         self._delivered_segments = self._cum_ack + len(self._sacked)
@@ -407,8 +432,13 @@ class TcpFlow:
 
     def _apply_sack(self, ranges: list[tuple[int, int]]) -> int:
         newly = 0
+        applied = self._sack_applied
         for start, end in ranges:
-            for seq in range(max(start, self._cum_ack), end + 1):
+            applied_end = applied.get(start, -1)
+            if applied_end >= end:
+                continue
+            applied[start] = end
+            for seq in range(max(start, self._cum_ack, applied_end + 1), end + 1):
                 if seq not in self._sacked:
                     self._sacked.add(seq)
                     self._lost.discard(seq)

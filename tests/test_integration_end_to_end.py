@@ -12,7 +12,7 @@ from repro.nodes.iperf import run_iperf_tcp, run_udp_burst
 from repro.nodes.rpi import MeasurementNode
 from repro.orbits.constellation import starlink_shell1
 from repro.orbits.tle import parse_tle_file
-from repro.starlink.access import build_starlink_path
+from repro.starlink.access import AccessConfig, build_starlink_path
 from repro.starlink.bentpipe import BentPipeModel
 from repro.starlink.pop import pop_for_city
 from repro.weather.history import WeatherHistory
@@ -70,9 +70,11 @@ def test_tcp_over_live_bentpipe(shell):
     path = build_starlink_path(
         bentpipe,
         city("gcp_london").location,
-        dl_rate_bps=30e6,
-        time_offset_s=3600.0,
-        stochastic_wireless_queueing=False,
+        AccessConfig(
+            dl_rate_bps=30e6,
+            time_offset_s=3600.0,
+            stochastic_wireless_queueing=False,
+        ),
     )
     result = run_iperf_tcp(path, cc="cubic", duration_s=6.0)
     assert result.goodput_mbps > 18.0
@@ -94,10 +96,12 @@ def test_handover_bursts_visible_in_udp(shell):
     path = build_starlink_path(
         bentpipe,
         city("gcp_london").location,
-        dl_rate_bps=20e6,
-        loss_dl=loss,
-        time_offset_s=0.0,
-        stochastic_wireless_queueing=False,
+        AccessConfig(
+            dl_rate_bps=20e6,
+            loss_dl=loss,
+            time_offset_s=0.0,
+            stochastic_wireless_queueing=False,
+        ),
     )
     result = run_udp_burst(path, rate_bps=10e6, duration_s=60.0)
     if any(0 <= e.t_s <= 55.0 for e in events if e.reason.value != "acquired"):

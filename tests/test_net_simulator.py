@@ -176,3 +176,71 @@ def test_heap_compaction_bounds_cancelled_entries():
         sim.schedule(1.0 + i * 1e-3, lambda: None).cancel()
     assert sim.pending_events == len(keep)
     assert len(sim._heap) < 256  # lazily compacted, not 5008
+
+
+def test_compaction_during_run_keeps_order_and_counts():
+    """A callback's cancel() compacts the heap mid-run: the survivors
+    still fire in (time, insertion) order, no cancelled event fires, and
+    ``pending_events`` stays exact."""
+    sim = Simulator()
+    log = []
+    events = []
+    for i in range(200):
+        # Repeated times exercise the insertion-order tie-break.
+        time_s = 1.0 + (i % 50) * 0.1
+        events.append((time_s, i, sim.schedule(time_s, log.append, i)))
+    doomed = {i for _, i, _ in events if i % 10 != 3}
+    heap_sizes = []
+
+    def cancel_most():
+        before = len(sim._heap)
+        for _, i, event in events:
+            if i in doomed:
+                event.cancel()
+        heap_sizes.append((before, len(sim._heap)))
+        log.append("cancelled")
+
+    sim.schedule(0.5, cancel_most)
+    assert sim.run(until=2.0) == 1 + sum(
+        1 for t, i, _ in events if i not in doomed and t <= 2.0
+    )
+    (before, after), = heap_sizes
+    assert after < before  # compaction really ran inside the callback
+    survivors = sorted((t, i) for t, i, _ in events if i not in doomed)
+    assert sim.pending_events == sum(1 for t, _ in survivors if t > 2.0)
+    sim.run()
+    assert log == ["cancelled"] + [i for _, i in survivors]
+    assert sim.pending_events == 0
+    assert all(
+        event.cancelled and not event.fired for _, i, event in events if i in doomed
+    )
+
+
+def test_equal_times_keep_insertion_order_across_compaction():
+    sim = Simulator()
+    log = []
+    sim.schedule(5.0, log.append, "a")
+    sim.schedule(5.0, log.append, "b")
+    for _ in range(300):
+        sim.schedule(1.0, log.append, "x").cancel()
+    assert len(sim._heap) < 100  # compacted
+    sim.schedule(5.0, log.append, "c")
+    sim.schedule_at(5.0, log.append, "d")
+    sim.run()
+    assert log == ["a", "b", "c", "d"]
+
+
+def test_cancel_after_fire_is_noop():
+    sim = Simulator()
+    log = []
+    first = sim.schedule(1.0, log.append, "first")
+    sim.schedule(2.0, log.append, "second")
+    sim.run(until=1.5)
+    assert first.fired
+    assert sim.pending_events == 1
+    first.cancel()
+    assert not first.cancelled
+    assert sim.pending_events == 1
+    sim.run()
+    assert log == ["first", "second"]
+    assert sim.pending_events == 0

@@ -9,12 +9,14 @@ coordinator's structured log records every lease transition.
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
 from repro.errors import FabricError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.runtime import host_chaos_plan, run_fabric_campaign
+from repro.runtime import fabric, host_chaos_plan, run_fabric_campaign
 from repro.runtime.fabric import (
     FabricCoordinator,
     FabricPaths,
@@ -386,3 +388,51 @@ def test_claim_completed_between_polls_is_logged(
             if e["type"] == "shard_completed" and e["shard_id"] == shard_id
         )
         assert first_claim < done
+
+
+def test_shard_exception_reaches_failed_marker_and_log(tmp_path, monkeypatch):
+    """A deterministic shard bug is re-dispatched until the cap, and its
+    cause — not just "lease lost" — reaches the final error, the FAILED
+    marker and the lease log."""
+    def buggy_run_shard(config, shard_id, indices, fault):
+        raise ValueError("deterministic shard bug")
+
+    monkeypatch.setattr(fabric, "run_shard", buggy_run_shard)
+    fabric_dir = str(tmp_path / "fabric")
+    coordinator = FabricCoordinator(
+        CampaignConfig(**SMALL),
+        fabric_dir,
+        n_shards=2,
+        max_redispatches=2,
+        redispatch_backoff_base_s=0.01,
+    )
+    worker = threading.Thread(
+        target=run_fabric_worker,
+        args=(fabric_dir,),
+        kwargs={"worker_id": "buggy", "heartbeat_interval_s": 0.1},
+    )
+    worker.start()
+    # A failure the coordinator never notices would otherwise poll forever.
+    deadline = time.monotonic() + 60.0
+    try:
+        with pytest.raises(FabricError, match="ValueError: deterministic shard bug"):
+            coordinator.run(
+                local_workers=(), should_stop=lambda: time.monotonic() > deadline
+            )
+    finally:
+        worker.join(timeout=30)
+    assert not worker.is_alive()  # the FAILED marker released it
+
+    store = make_store(fabric_dir, None)
+    assert "ValueError: deterministic shard bug" in store.get_json("FAILED")["reason"]
+    failures = store.list_prefix("failures/")
+    assert failures
+    doc = store.get_json(failures[0])
+    assert doc["error_type"] == "ValueError"
+    assert doc["where"].endswith("in buggy_run_shard")
+    assert len(doc["traceback_digest"]) == 12
+    log = [json.loads(line) for line in store.read_lines("log.jsonl")]
+    for event_type in ("shard_failed", "shard_redispatched", "campaign_failed"):
+        events = [e for e in log if e["type"] == event_type]
+        assert events, event_type
+        assert all("deterministic shard bug" in e["reason"] for e in events)

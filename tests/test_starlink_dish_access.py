@@ -7,6 +7,7 @@ from repro.geo.cities import city
 from repro.net.trace import traceroute
 from repro.orbits.constellation import starlink_shell1
 from repro.starlink.access import (
+    AccessConfig,
     AccessTechnology,
     build_broadband_path,
     build_cellular_path,
@@ -64,7 +65,7 @@ def test_terrestrial_delay_transatlantic():
 
 def test_starlink_path_traceroute_shape(bentpipe):
     path = build_starlink_path(
-        bentpipe, city("n_virginia").location, time_offset_s=3600.0
+        bentpipe, city("n_virginia").location, AccessConfig(time_offset_s=3600.0)
     )
     assert path.technology is AccessTechnology.STARLINK
     trace = traceroute(path.network, path.client, path.server, probes_per_hop=3)
@@ -82,11 +83,11 @@ def test_access_orientation_download_bottleneck(bentpipe):
     for builder in (
         lambda: build_broadband_path(
             city("london").location, city("gcp_london").location,
-            dl_rate_bps=50e6, ul_rate_bps=5e6,
+            AccessConfig(dl_rate_bps=50e6, ul_rate_bps=5e6),
         ),
         lambda: build_cellular_path(
             city("london").location, city("gcp_london").location,
-            dl_rate_bps=50e6, ul_rate_bps=5e6,
+            AccessConfig(dl_rate_bps=50e6, ul_rate_bps=5e6),
         ),
     ):
         path = builder()
@@ -116,7 +117,12 @@ def test_figure5_ordering(bentpipe):
     finals = {}
     for name, path in (
         ("broadband", build_broadband_path(london, virginia)),
-        ("starlink", build_starlink_path(bentpipe, virginia, time_offset_s=7200.0)),
+        (
+            "starlink",
+            build_starlink_path(
+                bentpipe, virginia, AccessConfig(time_offset_s=7200.0)
+            ),
+        ),
         ("cellular", build_cellular_path(london, virginia)),
     ):
         trace = traceroute(path.network, path.client, path.server, probes_per_hop=7)

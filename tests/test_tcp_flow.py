@@ -160,3 +160,42 @@ def test_asymmetric_path_download():
     net.sim.run(until=12.0)
     goodput_mbps = flow.stats.delivered_bytes * 8 / 8.0 / 1e6
     assert goodput_mbps > 35.0
+
+
+def _reference_sack(arrivals):
+    """The receiver's (ack, SACK ranges) per arrival, re-derived from
+    scratch by sorting every held segment."""
+    expected, held, out = 0, set(), []
+    for seq in arrivals:
+        if seq == expected:
+            expected += 1
+            while expected in held:
+                held.remove(expected)
+                expected += 1
+        elif seq > expected:
+            held.add(seq)
+        ranges = []
+        for s in sorted(held):
+            if ranges and s == ranges[-1][1] + 1:
+                ranges[-1] = (ranges[-1][0], s)
+            else:
+                ranges.append((s, s))
+        out.append((expected, ranges))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_receiver_sack_ranges_match_sorted_reference(seed):
+    """The receiver keeps its SACK ranges incrementally; every ACK must
+    carry exactly what sorting the held segments would give."""
+    from repro.tcp.flow import _Receiver
+
+    rng = np.random.default_rng(seed)
+    # Reordered, duplicated and lost-then-retransmitted arrivals.
+    arrivals = [int(s) for s in rng.permutation(60)]
+    arrivals += [int(s) for s in rng.integers(0, 80, size=80)]
+    arrivals += list(range(80))
+    receiver = _Receiver()
+    got = [receiver.on_data(seq) for seq in arrivals]
+    assert got == _reference_sack(arrivals)
+    assert receiver.out_of_order == set()
